@@ -11,26 +11,24 @@ import threading
 
 from repro.bench.tables import ExperimentTable
 from repro.simnet import BernoulliErrors
-from repro.udpnet import (
-    BlastReceiver,
-    BlastSender,
-    PerPacketAckReceiver,
-    SawSender,
-)
+from repro.udpnet import UdpReceiver, UdpSender
 
 DATA = bytes(64 * 1024)
 
 
-def run_pair(receiver, serve_kwargs, send_fn):
+def run_pair(protocol, strategy, error_model=None):
+    """One transfer: receiver in a thread, sender here."""
     box = {}
+    with UdpReceiver() as receiver, UdpSender(error_model=error_model) as sender:
+        def serve():
+            box["received"] = receiver.serve_one(protocol=protocol,
+                                                 strategy=strategy)
 
-    def serve():
-        box["received"] = receiver.serve_one(**serve_kwargs)
-
-    thread = threading.Thread(target=serve, daemon=True)
-    thread.start()
-    box["sent"] = send_fn()
-    thread.join(timeout=60)
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        box["sent"] = sender.send(DATA, receiver.address, protocol=protocol,
+                                  strategy=strategy)
+        thread.join(timeout=60)
     return box["sent"], box["received"]
 
 
@@ -40,26 +38,13 @@ def udp_comparison() -> ExperimentTable:
         ["protocol", "elapsed (ms)", "data frames", "reply frames", "intact"],
         notes=["absolute times are interpreter-bound; orderings only"],
     )
-    def best_of(n, receiver_cls, sender_cls, send):
+    def best_of(n, protocol, strategy):
         """Best elapsed of n runs — loopback timing is noisy."""
-        best = None
-        for _ in range(n):
-            with receiver_cls() as receiver, sender_cls() as sender:
-                sent, received = run_pair(
-                    receiver, {}, lambda: send(sender, receiver)
-                )
-            if best is None or sent.elapsed_s < best[0].elapsed_s:
-                best = (sent, received)
-        return best
+        runs = [run_pair(protocol, strategy) for _ in range(n)]
+        return min(runs, key=lambda pair: pair[0].elapsed_s)
 
-    saw_sent, saw_received = best_of(
-        3, PerPacketAckReceiver, SawSender,
-        lambda tx, rx: tx.send(DATA, rx.address),
-    )
-    blast_sent, blast_received = best_of(
-        3, BlastReceiver, BlastSender,
-        lambda tx, rx: tx.send(DATA, rx.address, strategy="gobackn"),
-    )
+    saw_sent, saw_received = best_of(3, "saw", "gobackn")
+    blast_sent, blast_received = best_of(3, "blast", "gobackn")
     for name, sent, received in (
         ("stop_and_wait", saw_sent, saw_received),
         ("blast gobackn", blast_sent, blast_received),
@@ -92,15 +77,7 @@ def test_udp_lossless_ordering(benchmark, save_result):
 
 def test_udp_blast_under_loss(benchmark):
     def lossy_blast():
-        with BlastReceiver() as receiver, BlastSender(
-            error_model=BernoulliErrors(0.05, seed=2)
-        ) as sender:
-            sent, received = run_pair(
-                receiver,
-                {},
-                lambda: sender.send(DATA, receiver.address, strategy="selective"),
-            )
-        return sent, received
+        return run_pair("blast", "selective", BernoulliErrors(0.05, seed=2))
 
     sent, received = benchmark.pedantic(lossy_blast, rounds=1, iterations=1)
     assert sent.ok

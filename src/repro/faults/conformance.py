@@ -1,8 +1,10 @@
 """Cross-substrate protocol conformance under scripted faults.
 
 The harness sweeps the protocol × strategy × fault-plan grid on two
-substrates — the discrete-event simulator and the real-socket UDP
-transports — and holds every cell to the same contract:
+substrates — the discrete-event simulator, which runs the ``core``
+engines, and real UDP sockets, where :mod:`repro.udpnet` drives the
+service machines (:mod:`repro.service.machines`) that serve traffic —
+and holds every cell to the same contract:
 
 1. **payload byte-equality** — the receiver reassembles exactly the
    bytes the sender offered;
@@ -150,6 +152,14 @@ def _run_des_cell(
     }
 
 
+#: The service machines' names for the matrix protocols.
+_SERVICE_PROTOCOLS = {
+    "stop_and_wait": "saw",
+    "sliding_window": "sliding",
+    "blast": "blast",
+}
+
+
 def _run_udp_cell(
     protocol: str,
     strategy: Optional[str],
@@ -159,45 +169,29 @@ def _run_udp_cell(
 ) -> dict:
     import threading
 
-    from ..core.strategies import get_strategy
-    from ..udpnet.blast import BlastReceiver, BlastSender
-    from ..udpnet.saw import PerPacketAckReceiver, SawSender
-    from ..udpnet.sliding import SlidingWindowSender
+    from ..udpnet import UdpReceiver, UdpSender
 
     data = _payload(seed, size)
-    if protocol == "stop_and_wait":
-        receiver = PerPacketAckReceiver()
-        sender = SawSender(fault_plan=plan, fault_seed=seed)
-        serve_kwargs = {"first_timeout_s": 5.0, "idle_timeout_s": 1.0, "linger_s": 0.5}
-        send_kwargs = {"timeout_s": 0.05, "max_retries": 60}
-    elif protocol == "sliding_window":
-        receiver = PerPacketAckReceiver()
-        sender = SlidingWindowSender(fault_plan=plan, fault_seed=seed)
-        serve_kwargs = {"first_timeout_s": 5.0, "idle_timeout_s": 1.0, "linger_s": 0.5}
-        send_kwargs = {"timeout_s": 0.05, "max_rounds": 60}
-    elif protocol == "blast":
-        assert strategy is not None
-        receiver = BlastReceiver()
-        sender = BlastSender(fault_plan=plan, fault_seed=seed)
-        serve_kwargs = {
-            "nak": get_strategy(strategy).uses_nak,
-            "first_timeout_s": 5.0,
-            "idle_timeout_s": 2.0,
-            "linger_s": 0.5,
-        }
-        send_kwargs = {"strategy": strategy, "timeout_s": 0.1, "max_rounds": 60}
-    else:
-        raise ValueError(f"unknown udp protocol {protocol!r}")
-
+    service_protocol = _SERVICE_PROTOCOLS[protocol]
+    strategy = strategy or "selective"
+    timeout_s = 0.1 if protocol == "blast" else 0.05
+    receiver = UdpReceiver()
+    sender = UdpSender(fault_plan=plan, fault_seed=seed)
     outcomes = {}
 
     def serve() -> None:
-        outcomes["receiver"] = receiver.serve_one(**serve_kwargs)
+        outcomes["receiver"] = receiver.serve_one(
+            protocol=service_protocol, strategy=strategy, timeout_s=5.0,
+            linger_s=0.5,
+        )
 
     thread = threading.Thread(target=serve, daemon=True)
     thread.start()
     try:
-        outcome = sender.send(data, receiver.address, **send_kwargs)
+        outcome = sender.send(
+            data, receiver.address, protocol=service_protocol,
+            strategy=strategy, timeout_s=timeout_s,
+        )
         thread.join(timeout=30.0)
     finally:
         sender.close()

@@ -1,11 +1,10 @@
 """UDP adapter: a socket wrapper that replays a :class:`FaultPlan`.
 
-:class:`FaultySocket` generalises the original send-side-only
-``LossySocket``: it still applies a legacy
+:class:`FaultySocket` applies a send-side
 :class:`~repro.simnet.errors.ErrorModel` coin-flip to outgoing
-datagrams, and on top interprets a fault plan on *both* directions —
-dropping, duplicating, corrupting, delaying, and reordering real
-datagrams.  Held datagrams live in bounded queues:
+datagrams, and on top interprets an optional fault plan on *both*
+directions — dropping, duplicating, corrupting, delaying, and
+reordering real datagrams.  Held datagrams live in bounded queues:
 
 - a **delay heap** per direction, keyed by wall-clock due time, flushed
   whenever the socket is used;
@@ -139,8 +138,8 @@ class FaultySocket:
     sock:
         The real datagram socket to wrap.
     error_model:
-        Legacy send-side loss model (the ``LossySocket`` contract);
-        consulted with the raw payload bytes, before the plan.
+        Send-side loss model; consulted with the raw payload bytes,
+        before the plan.
     plan:
         Optional :class:`FaultPlan` applied to both directions.
     seed:

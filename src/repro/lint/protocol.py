@@ -1,8 +1,9 @@
 """REP108 — protocol exhaustiveness over the frame vocabulary.
 
 The frame vocabulary lives in ``core/frames.py``; the simulated engines
-(``core/``) and the socket transports (``udpnet/``) both speak it, and
-``core/wire.py`` is the codec that carries it between real machines.
+(``core/``) and the socket drivers (``udpnet/``, which run the service
+machines over UDP) both speak it, and ``core/wire.py`` is the codec
+that carries it between real machines.
 Adding a frame kind without teaching the rest of the system about it is
 exactly the kind of silent protocol drift the paper's controlled
 comparisons cannot tolerate, so this rule checks, by class-body

@@ -202,6 +202,25 @@ class BlastSenderMachine(_SenderBase):
             self.controller.on_timeout(now)
             self._start_round(None, "timeout")
 
+    def nudge(self, now: float) -> None:
+        """Time an overdue round out §3.2.3's way: the next round re-sends
+        only the reply-requesting packet, to draw a reception report,
+        instead of the strategy's full working set.
+
+        For strategies that keep the last packet reliable; a driver calls
+        it in place of the :meth:`poll` that would time the round out.
+        A blast larger than the receiver's socket buffer loses its tail
+        to overrun every time it is re-sent in full, so without this it
+        never completes.  The service loop does not call it.
+        """
+        if (self.finished or self._reply_deadline is None
+                or now < self._reply_deadline):
+            return
+        last = self._queue[self._index - 1]
+        self.controller.on_timeout(now)
+        self._start_round(None, "timeout")
+        self._queue = [last]
+
     def has_frame(self, now: float) -> bool:
         return self.frames_available(now) > 0
 
@@ -454,6 +473,8 @@ class ReceiverMachine:
         self.per_packet_ack = per_packet_ack
         self.nak = nak
         self.tracker: Optional[ReceiverTracker] = None
+        #: ``now`` of the first data frame (None until one arrives).
+        self.first_frame_at: Optional[float] = None
         self._chunks: Dict[int, bytes] = {}
         self.duplicates = 0
         self.replies_sent = 0
@@ -475,6 +496,7 @@ class ReceiverMachine:
             return []
         if self.tracker is None:
             self.tracker = ReceiverTracker(frame.total)
+            self.first_frame_at = now
         if self.tracker.add(frame.seq):
             self._chunks[frame.seq] = frame.payload
         else:

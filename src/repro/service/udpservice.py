@@ -248,46 +248,15 @@ class UdpServiceClient(UdpEndpoint):
         # for this stream; otherwise the configured protocol applies.
         receiver = receiver_for(response.get("protocol", self.protocol),
                                 stream_id, self.strategy)
-        deadline = time.monotonic() + self.recv_timeout_s
-        while not receiver.done:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                return UdpPullResult(
-                    stream_id, "stalled",
-                    elapsed_s=time.monotonic() - started,
-                    error="transfer stalled before completion",
-                )
-            got = self._recv_frame(timeout_s=remaining)
-            if got is None:
-                continue
-            frame, _sender = got
-            if getattr(frame, "stream_id", 0) != stream_id:
-                continue
-            replies = receiver.on_frame(frame, time.monotonic() - started)
-            if replies:
-                deadline = time.monotonic() + self.recv_timeout_s
-                for reply in replies:
-                    self._io.send_frame(reply, self.server)
-            elif isinstance(frame, ControlFrame) is False:
-                deadline = time.monotonic() + self.recv_timeout_s
-
+        if not self._receive_stream(receiver, self.recv_timeout_s):
+            return UdpPullResult(
+                stream_id, "stalled",
+                elapsed_s=time.monotonic() - started,
+                error="transfer stalled before completion",
+            )
         data = receiver.data
         expected = service_payload(response["seed"], stream_id, size)
-        # Linger: re-answer wants_reply duplicates so a lost final ACK
-        # cannot wedge the server's sender machine.
-        linger_until = time.monotonic() + self.linger_s
-        while True:
-            remaining = linger_until - time.monotonic()
-            if remaining <= 0:
-                break
-            got = self._recv_frame(timeout_s=remaining)
-            if got is None:
-                break
-            frame, _sender = got
-            if getattr(frame, "stream_id", 0) != stream_id:
-                continue
-            for reply in receiver.on_frame(frame, time.monotonic() - started):
-                self._io.send_frame(reply, self.server)
+        self._receive_stream(receiver, self.linger_s)
         return UdpPullResult(
             stream_id,
             "ok",
@@ -296,6 +265,9 @@ class UdpServiceClient(UdpEndpoint):
             duplicates=receiver.duplicates,
             elapsed_s=time.monotonic() - started,
         )
+
+    def _send_frame(self, frame, address: Tuple[str, int]) -> None:
+        self._io.send_frame(frame, address)
 
     def _await_reply(self, stream_id: int, timeout_s: float) -> Optional[dict]:
         deadline = time.monotonic() + timeout_s

@@ -1,37 +1,31 @@
-"""Real UDP/loopback implementations of the three protocol families.
+"""Real UDP/loopback transfers of the three protocol families.
 
-The protocol logic (frames, wire format, tracker, strategies) is shared
-with the simulator; only the socket I/O loop is specific to this
-package.  Loss is injected at send time through the same error models
-the simulator uses.
+The protocols themselves are the substrate-free machines of
+:mod:`repro.service.machines`, the same objects the concurrent service
+runs; this package drives them over a socket.  Loss is injected at send
+time through the same error models the simulator uses.
 
 Typical use (receiver in a thread, sender in the caller)::
 
-    from repro.udpnet import BlastReceiver, BlastSender
-    receiver = BlastReceiver()
-    # ... start receiver.serve_one() in a thread ...
-    sender = BlastSender()
+    from repro.udpnet import UdpReceiver, UdpSender
+    receiver = UdpReceiver()
+    # ... start receiver.serve_one(strategy="gobackn") in a thread ...
+    sender = UdpSender()
     outcome = sender.send(data, receiver.address, strategy="gobackn")
 """
 
-from .blast import BlastReceiver, BlastSender
+from ..faults.socket import FaultySocket
 from .endpoints import DEFAULT_PACKET_BYTES, UdpEndpoint, UdpTransferOutcome
 from .fileserver import FileServiceError, UdpFileClient, UdpFileServer
-from .lossy import FaultySocket, LossySocket
-from .saw import PerPacketAckReceiver, SawSender
-from .sliding import SlidingWindowSender
+from .transfer import UdpReceiver, UdpSender
 
 __all__ = [
     "UdpEndpoint",
     "UdpTransferOutcome",
     "DEFAULT_PACKET_BYTES",
-    "LossySocket",
     "FaultySocket",
-    "SawSender",
-    "SlidingWindowSender",
-    "PerPacketAckReceiver",
-    "BlastSender",
-    "BlastReceiver",
+    "UdpSender",
+    "UdpReceiver",
     "UdpFileServer",
     "UdpFileClient",
     "FileServiceError",

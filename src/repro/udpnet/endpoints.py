@@ -1,11 +1,13 @@
 """Shared plumbing for the UDP protocol endpoints.
 
-The UDP transport reuses the byte-level wire format
-(:mod:`repro.core.wire`), the receiver tracker and the retransmission
-strategies from :mod:`repro.core` — only the I/O loop differs from the
-simulated engines.  Absolute throughput over loopback is bounded by the
-Python interpreter, so the benches assert protocol *orderings*, not
-megabits (see EXPERIMENTS.md).
+Every UDP endpoint owns one (possibly fault-injecting) socket and
+speaks the byte-level wire format (:mod:`repro.core.wire`).  The
+protocol logic itself is not here: senders and receivers drive the
+substrate-free machines of :mod:`repro.service.machines`, the same
+objects the concurrent service runs, and this module supplies the one
+receive loop every UDP receiver shares.  Absolute throughput over
+loopback is bounded by the Python interpreter, so the benches assert
+protocol *orderings*, not megabits (see EXPERIMENTS.md).
 """
 
 from __future__ import annotations
@@ -15,11 +17,11 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from ..core.wire import WireError, decode
+from ..core.frames import DataFrame, FrameKind
+from ..core.wire import WireError, decode, encode
 from ..faults.plan import FaultPlan
 from ..faults.socket import RECV_BUFFER_BYTES, FaultySocket
 from ..simnet.errors import ErrorModel
-from .lossy import LossySocket
 
 __all__ = [
     "UdpEndpoint",
@@ -65,6 +67,11 @@ class UdpTransferOutcome:
 class UdpEndpoint:
     """Base class owning a (possibly lossy) UDP socket."""
 
+    #: The shared receive loop dispatches on data frames only; the
+    #: replies it sends are built by the receiver machine, and control
+    #: frames belong to the layers built on top (replint REP114).
+    FSM_IGNORES = (FrameKind.ACK, FrameKind.NAK, FrameKind.CONTROL)
+
     def __init__(
         self,
         bind: Tuple[str, int] = ("127.0.0.1", 0),
@@ -83,12 +90,9 @@ class UdpEndpoint:
             # to one of them (see repro.cluster.placement).
             raw.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
         raw.bind(bind)
-        if fault_plan is not None:
-            self.sock = FaultySocket(
-                raw, error_model=error_model, plan=fault_plan, seed=fault_seed
-            )
-        else:
-            self.sock = LossySocket(raw, error_model)
+        self.sock = FaultySocket(
+            raw, error_model=error_model, plan=fault_plan, seed=fault_seed
+        )
         self.packet_bytes = packet_bytes
         # One receive buffer per endpoint, reused by every recvfrom_into
         # (endpoints are single-threaded receivers).
@@ -110,6 +114,9 @@ class UdpEndpoint:
         self.close()
 
     # -- I/O helpers --------------------------------------------------------
+    def _send_frame(self, frame, address: Tuple[str, int]) -> None:
+        self.sock.sendto(encode(frame), address)
+
     def _recv_frame(self, timeout_s: Optional[float]):
         """Receive one valid frame, or None on timeout.
 
@@ -137,3 +144,35 @@ class UdpEndpoint:
                 return decode(memoryview(buffer)[:count]), sender
             except WireError:
                 continue  # corrupted: indistinguishable from a loss
+
+    def _receive_stream(self, receiver, timeout_s: float) -> bool:
+        """Feed ``receiver`` (a :class:`~repro.service.machines.ReceiverMachine`)
+        its stream's data frames, sending back the replies it makes.
+
+        Until the receiver holds the whole body, each data frame of the
+        stream re-arms the ``timeout_s`` stall budget; returns True on
+        completion, False if the budget runs out first.  Called again
+        once complete, it is the linger: for ``timeout_s`` it re-answers
+        duplicates, so a sender whose final ACK was lost gets it again
+        on its next retransmission.  Replies go to the frame's source.
+        """
+        lingering = receiver.done
+        deadline = time.monotonic() + timeout_s
+        while True:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                return lingering
+            got = self._recv_frame(remaining)
+            if got is None:
+                return lingering
+            frame, source = got
+            if (not isinstance(frame, DataFrame)
+                    or frame.stream_id != receiver.stream_id):
+                continue
+            now = time.monotonic()
+            for reply in receiver.on_frame(frame, now):
+                self._send_frame(reply, source)
+            if not lingering:
+                if receiver.done:
+                    return True
+                deadline = now + timeout_s

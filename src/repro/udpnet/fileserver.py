@@ -34,8 +34,8 @@ from typing import Dict, List, Optional, Tuple
 from ..core.frames import ControlFrame
 from ..core.wire import encode
 from ..simnet.errors import ErrorModel
-from .blast import BlastReceiver, BlastSender
 from .endpoints import DEFAULT_PACKET_BYTES
+from .transfer import UdpReceiver, UdpSender
 
 __all__ = ["UdpFileServer", "UdpFileClient", "FileServiceError"]
 
@@ -63,7 +63,7 @@ def _parse(frame: ControlFrame) -> dict:
         raise FileServiceError(f"malformed control body: {exc}") from exc
 
 
-class UdpFileServer(BlastSender, BlastReceiver):
+class UdpFileServer(UdpSender, UdpReceiver):
     """Serves files from an in-memory store over UDP.
 
     One socket, single-threaded: blast-sends read bodies, blast-receives
@@ -141,7 +141,9 @@ class UdpFileServer(BlastSender, BlastReceiver):
                         transfer_id=response["transfer_id"],
                     )
                 elif request.get("op") == "write":
-                    outcome = self.serve_one(first_timeout_s=5.0)
+                    outcome = self.serve_one(
+                        transfer_id=response["transfer_id"], timeout_s=5.0
+                    )
                     if outcome.ok:
                         self.files[request["filename"]] = outcome.data
             finally:
@@ -215,7 +217,7 @@ class UdpFileServer(BlastSender, BlastReceiver):
         return self._next_transfer_id
 
 
-class UdpFileClient(BlastReceiver, BlastSender):
+class UdpFileClient(UdpReceiver, UdpSender):
     """Client for :class:`UdpFileServer` (one socket for everything)."""
 
     def __init__(
@@ -304,7 +306,7 @@ class UdpFileClient(BlastReceiver, BlastSender):
     def read_file(self, filename: str) -> bytes:
         """Fetch a whole file (control exchange + incoming blast)."""
         response = self._check(self._request(op="read", filename=filename))
-        outcome = self.serve_one(first_timeout_s=10.0)
+        outcome = self.serve_one(transfer_id=response["transfer_id"])
         if not outcome.ok:
             raise FileServiceError(f"read body failed: {outcome.error}")
         if len(outcome.data) != response["size"]:

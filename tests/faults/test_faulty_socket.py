@@ -9,7 +9,6 @@ from repro.core.wire import WireError, decode, encode
 from repro.faults.plan import FaultPlan, FaultRule
 from repro.faults.socket import FaultySocket
 from repro.simnet.errors import DeterministicDrops
-from repro.udpnet.lossy import LossySocket
 
 
 def _udp_socket():
@@ -209,11 +208,16 @@ class TestReceiveSide:
 
 
 class TestLossySocketCompat:
+    """The send-side loss contract, served by the plan-less wrapper."""
+
     def test_lossy_socket_is_a_faulty_socket(self):
         raw = _udp_socket()
         try:
-            lossy = LossySocket(raw, DeterministicDrops([0]))
-            assert isinstance(lossy, FaultySocket)
+            lossy = FaultySocket(raw, error_model=DeterministicDrops([0]))
+            assert lossy.plan is None
+            lossy.sendto(b"x", ("127.0.0.1", 9))  # dropped
+            assert lossy.datagrams_dropped == 1
+            assert lossy.loss_rate == 1.0
         finally:
             raw.close()
 

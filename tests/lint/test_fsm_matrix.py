@@ -34,9 +34,8 @@ def test_matrix_covers_every_machine_and_kind():
         "service/machines.py::BlastSenderMachine",
         "service/machines.py::ReceiverMachine",
         "service/machines.py::WindowSenderMachine",
-        "udpnet/saw.py::SawSender",
-        "udpnet/blast.py::BlastReceiver",
-        "udpnet/sliding.py::SlidingWindowSender",
+        "udpnet/transfer.py::UdpSender",
+        "udpnet/transfer.py::UdpReceiver",
         "udpnet/fileserver.py::UdpFileServer",
     ):
         assert expected in names

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.congestion.controller import UNBOUNDED_WINDOW, CongestionController
 from repro.core.frames import AckFrame, DataFrame, NakFrame
 from repro.service.machines import (
     BlastSenderMachine,
@@ -78,6 +79,23 @@ class TestBlastSender:
                 break
         assert machine.failed
         assert "gave up" in machine.outcome().error
+
+    def test_nudge_resends_only_the_reply_request(self):
+        machine = BlastSenderMachine(1, bytes(4096), 1024, timeout_s=0.1,
+                                     strategy="selective")
+        drain(machine, 0.0)
+        machine.nudge(0.05)  # reply not yet overdue: no-op
+        assert machine.rounds == 1 and not machine.has_frame(0.05)
+        machine.nudge(0.1)
+        frames = drain(machine, 0.1)
+        assert [(f.seq, f.wants_reply) for f in frames] == [(3, True)]
+        assert machine.rounds == 2 and machine.retransmits == 1
+        machine.on_frame(
+            NakFrame(transfer_id=1, first_missing=2, missing=(2,), total=4,
+                     stream_id=1),
+            0.11,
+        )
+        assert [f.seq for f in drain(machine, 0.11)] == [2]
 
     def test_empty_payload_is_one_packet(self):
         machine = BlastSenderMachine(1, b"", 1024, timeout_s=0.1)
@@ -223,3 +241,135 @@ class TestFrameCacheAndTimerEpoch:
         epoch = machine.timer_epoch
         machine.poll(0.2)  # reply timeout: next round starts, timer re-arms
         assert machine.timer_epoch > epoch
+
+
+class RecordingController(CongestionController):
+    """Fixed window and RTO that records the events the machines feed it.
+
+    ``fast_retransmit_on`` names the duplicate-ack counts (1-based) at
+    which :meth:`on_dup_ack` asks for a fast retransmit.
+    """
+
+    name = "recording"
+
+    def __init__(self, rto_s=0.1, fast_retransmit_on=()):
+        self.rto_s = rto_s
+        self.fast_retransmit_on = set(fast_retransmit_on)
+        self.samples = []
+        self.timeouts = []
+        self.dup_acks = 0
+
+    def window(self):
+        return UNBOUNDED_WINDOW
+
+    def rto(self):
+        return self.rto_s
+
+    def on_dup_ack(self, now=0.0):
+        self.dup_acks += 1
+        return self.dup_acks in self.fast_retransmit_on
+
+    def on_timeout(self, now=0.0):
+        self.timeouts.append(now)
+
+    def on_rtt_sample(self, rtt_s):
+        self.samples.append(rtt_s)
+
+
+def ack(seq):
+    return AckFrame(transfer_id=1, seq=seq, stream_id=1)
+
+
+class TestKarnRule:
+    """RTT samples come only from unambiguous exchanges (Karn's rule),
+    and the timer backs off once per expiry, never on fast recovery."""
+
+    def test_blast_samples_only_a_clean_first_burst_reply(self):
+        controller = RecordingController()
+        machine = BlastSenderMachine(1, bytes(4096), 1024, timeout_s=0.1,
+                                     strategy="selective",
+                                     controller=controller)
+        drain(machine, 0.0)
+        machine.on_frame(
+            NakFrame(transfer_id=1, first_missing=1, missing=(1,), total=4,
+                     stream_id=1),
+            0.01,
+        )
+        assert controller.samples == [pytest.approx(0.01)]
+        assert [f.seq for f in drain(machine, 0.01)] == [1]
+        machine.on_frame(ack(3), 0.05)  # answers a retransmission
+        assert machine.done
+        assert controller.samples == [pytest.approx(0.01)]
+
+    def test_blast_lost_first_reply_is_never_sampled(self):
+        controller = RecordingController()
+        machine = BlastSenderMachine(1, bytes(4096), 1024, timeout_s=0.1,
+                                     strategy="full_nak",
+                                     controller=controller)
+        drain(machine, 0.0)
+        machine.poll(0.1)  # the first reply never came
+        assert controller.timeouts == [0.1]
+        assert len(drain(machine, 0.1)) == 4  # every frame resent
+        machine.on_frame(ack(3), 0.11)
+        assert machine.done
+        assert controller.samples == []
+
+    def test_blast_reply_to_a_nudge_is_not_sampled(self):
+        controller = RecordingController()
+        machine = BlastSenderMachine(1, bytes(2048), 1024, timeout_s=0.1,
+                                     strategy="gobackn",
+                                     controller=controller)
+        drain(machine, 0.0)
+        machine.nudge(0.1)
+        drain(machine, 0.1)
+        machine.on_frame(ack(1), 0.11)  # first copy's reply, or the nudge's?
+        assert machine.done
+        assert controller.timeouts == [0.1]
+        assert controller.samples == []
+
+    def test_window_samples_only_first_transmission_acks(self):
+        controller = RecordingController()
+        machine = WindowSenderMachine(1, bytes(2048), 1024, timeout_s=0.1,
+                                      window=2, controller=controller)
+        drain(machine, 0.0)
+        machine.on_frame(ack(0), 0.02)
+        assert controller.samples == [pytest.approx(0.02)]
+        assert [f.seq for f in drain(machine, 0.1)] == [1]  # ack was lost
+        machine.on_frame(ack(1), 0.12)  # ambiguous: which copy?
+        assert machine.done
+        assert controller.samples == [pytest.approx(0.02)]
+
+    def test_stop_and_wait_stale_ack_is_ignored(self):
+        controller = RecordingController()
+        machine = WindowSenderMachine(1, bytes(2048), 1024, timeout_s=0.1,
+                                      window=1, controller=controller)
+        drain(machine, 0.0)
+        machine.on_frame(ack(0), 0.01)
+        drain(machine, 0.01)
+        machine.on_frame(ack(0), 0.02)  # a duplicate of the first ack
+        assert drain(machine, 0.02) == []  # no resend of packet 1
+        assert len(controller.samples) == 1
+        machine.on_frame(ack(1), 0.03)
+        assert machine.done
+        assert len(controller.samples) == 2
+        assert machine.outcome().retransmits == 0
+
+    def test_fast_retransmit_does_not_back_off(self):
+        controller = RecordingController(fast_retransmit_on=(1,))
+        machine = WindowSenderMachine(1, bytes(4096), 1024, timeout_s=0.1,
+                                      window=4, controller=controller)
+        drain(machine, 0.0)
+        machine.on_frame(ack(1), 0.01)  # gap above packet 0
+        assert [f.seq for f in drain(machine, 0.01)] == [0]
+        assert machine.retransmits == 1
+        assert controller.timeouts == []
+
+    def test_one_backoff_per_rto_period(self):
+        controller = RecordingController()
+        machine = WindowSenderMachine(1, bytes(4096), 1024, timeout_s=0.1,
+                                      window=4, controller=controller)
+        drain(machine, 0.0)
+        assert len(drain(machine, 0.1)) == 4  # the whole burst expired
+        assert controller.timeouts == [0.1]
+        assert len(drain(machine, 0.2)) == 4  # the next period expires
+        assert controller.timeouts == [0.1, 0.2]

@@ -1,40 +1,78 @@
-"""TimeoutPolicy wiring through the UDP senders, with Karn regression.
+"""Karn's rule end to end: the UDP sender over real sockets.
 
 The regression at stake: :class:`~repro.core.timers.AdaptiveTimeout`
-must never take an RTT sample from an ambiguous exchange — one whose
-round involved a retransmission or a consumed duplicate/stale
-acknowledgement — or a single delay spike poisons the estimator for the
-rest of the transfer (Karn's rule).  Fault plans make the ambiguous
-exchanges deterministic.
+must never take an RTT sample from an ambiguous exchange — one that
+involved a retransmission — or a single delay spike poisons the
+estimator for the rest of the transfer (Karn's rule).  The rule itself
+lives in the sender machines and is pinned there without sockets
+(``tests/service/test_machines.py``); these tests check that the UDP
+driver feeds the machine's controller real RTTs.  Fault plans make the
+ambiguous exchanges deterministic, and the machine's controller is
+swapped for one that routes into an :class:`AdaptiveTimeout`.
 """
 
 import threading
 
-from repro.core.timers import AdaptiveTimeout, FixedTimeout
+import pytest
+
+from repro.congestion.controller import UNBOUNDED_WINDOW, CongestionController
+from repro.core.timers import AdaptiveTimeout
 from repro.faults.plan import FaultPlan, FaultRule
-from repro.udpnet import (
-    BlastReceiver,
-    BlastSender,
-    PerPacketAckReceiver,
-    SawSender,
-    SlidingWindowSender,
-)
+from repro.service import machines
+from repro.udpnet import UdpReceiver, UdpSender
 
 DATA = bytes(range(256)) * 16  # 4 KB -> 4 packets
 
 
-def run_pair(receiver, serve_kwargs, send_fn):
+class AdaptiveController(CongestionController):
+    """Unbounded window; RTO, backoff and samples from an AdaptiveTimeout."""
+
+    name = "adaptive"
+
+    def __init__(self, policy):
+        self.policy = policy
+
+    def window(self):
+        return UNBOUNDED_WINDOW
+
+    def rto(self):
+        return self.policy.current()
+
+    def on_timeout(self, now=0.0):
+        self.policy.record_timeout()
+
+    def on_rtt_sample(self, rtt_s):
+        self.policy.record_sample(rtt_s)
+
+
+@pytest.fixture
+def adaptive(monkeypatch):
+    """Make the next sender machine run under ``AdaptiveTimeout(initial_s)``."""
+
+    def install(initial_s):
+        policy = AdaptiveTimeout(initial_s=initial_s)
+        monkeypatch.setattr(machines, "make_controller",
+                            lambda name, timeout_s: AdaptiveController(policy))
+        return policy
+
+    return install
+
+
+def run_pair(protocol, plan=None):
     box = {}
+    with UdpReceiver() as receiver, UdpSender(
+        fault_plan=plan, fault_seed=1
+    ) as sender:
 
-    def serve():
-        box["received"] = receiver.serve_one(**serve_kwargs)
+        def serve():
+            box["received"] = receiver.serve_one(protocol=protocol)
 
-    thread = threading.Thread(target=serve, daemon=True)
-    thread.start()
-    box["sent"] = send_fn()
-    thread.join(timeout=30)
-    assert not thread.is_alive(), "receiver thread hung"
-    return box["sent"], box["received"]
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        sent = sender.send(DATA, receiver.address, protocol=protocol)
+        thread.join(timeout=30)
+        assert not thread.is_alive(), "receiver thread hung"
+    return sent, box["received"]
 
 
 def _plan(*rules, name="t", seed=0):
@@ -42,14 +80,9 @@ def _plan(*rules, name="t", seed=0):
 
 
 class TestSawAdaptiveTimeout:
-    def test_clean_run_samples_every_packet(self):
-        policy = AdaptiveTimeout(initial_s=1.0)
-        with PerPacketAckReceiver() as receiver, SawSender() as sender:
-            sent, received = run_pair(
-                receiver, {},
-                lambda: sender.send(DATA, receiver.address,
-                                    timeout_policy=policy),
-            )
+    def test_clean_run_samples_every_packet(self, adaptive):
+        policy = adaptive(1.0)
+        sent, received = run_pair("saw")
         assert sent.ok and received.data == DATA
         assert policy.samples == sent.n_packets
         assert policy.expirations == 0
@@ -58,167 +91,52 @@ class TestSawAdaptiveTimeout:
         assert policy.current() < 1.0
         assert policy.srtt < 0.05
 
-    def test_karn_dropped_ack_round_not_sampled(self):
+    def test_karn_dropped_ack_round_not_sampled(self, adaptive):
         """Packet 0's first ack is dropped: the retried exchange is
         ambiguous and must not be sampled; the timer must back off."""
-        policy = AdaptiveTimeout(initial_s=0.05)
-        plan = _plan(
+        policy = adaptive(0.05)
+        sent, received = run_pair("saw", _plan(
             FaultRule(action="drop", kinds=("ack",), direction="recv",
                       indices=(0,))
-        )
-        with PerPacketAckReceiver() as receiver, SawSender(
-            fault_plan=plan, fault_seed=1
-        ) as sender:
-            sent, received = run_pair(
-                receiver, {},
-                lambda: sender.send(DATA, receiver.address,
-                                    timeout_policy=policy),
-            )
+        ))
         assert sent.ok and received.data == DATA
         assert policy.expirations >= 1  # the drop forced a timer expiry
         # Every packet except the ambiguous one contributed a sample.
         assert policy.samples == sent.n_packets - 1
         assert policy.srtt < 0.05
 
-    def test_karn_duplicate_ack_cascade_not_sampled(self):
-        """Packet 0's ack is duplicated.  The stale copy is consumed
-        while waiting for packet 1's ack, forcing a resend of packet 1,
-        whose own doubled acks cascade the staleness down the transfer:
-        only packet 0's exchange stays Karn-clean."""
-        policy = AdaptiveTimeout(initial_s=0.5)
-        plan = _plan(
+    def test_karn_duplicate_ack_cascade_not_sampled(self, adaptive):
+        """Packet 0's ack is duplicated.  The stale copy arrives while
+        the sender waits for packet 1's ack; it must neither be sampled
+        a second time nor set off a resend cascade."""
+        policy = adaptive(0.5)
+        sent, received = run_pair("saw", _plan(
             FaultRule(action="duplicate", kinds=("ack",), direction="recv",
                       indices=(0,), count=1)
-        )
-        with PerPacketAckReceiver() as receiver, SawSender(
-            fault_plan=plan, fault_seed=1
-        ) as sender:
-            sent, received = run_pair(
-                receiver, {},
-                lambda: sender.send(DATA, receiver.address,
-                                    timeout_policy=policy),
-            )
-        assert sent.ok and received.data == DATA
-        assert sent.retransmissions >= 1
-        assert policy.samples == 1  # only the first exchange was clean
-        assert policy.srtt < 0.05
-
-    def test_fixed_policy_matches_legacy_default(self):
-        with PerPacketAckReceiver() as receiver, SawSender() as sender:
-            sent, received = run_pair(
-                receiver, {},
-                lambda: sender.send(DATA, receiver.address,
-                                    timeout_policy=FixedTimeout(0.05)),
-            )
+        ))
         assert sent.ok and received.data == DATA
         assert sent.retransmissions == 0
-
-
-class TestBlastAdaptiveTimeout:
-    def test_clean_run_samples_first_round_only(self):
-        policy = AdaptiveTimeout(initial_s=1.0)
-        with BlastReceiver() as receiver, BlastSender() as sender:
-            sent, received = run_pair(
-                receiver, {"nak": True},
-                lambda: sender.send(DATA, receiver.address,
-                                    strategy="full_nak",
-                                    timeout_policy=policy),
-            )
-        assert sent.ok and received.data == DATA
-        assert policy.samples == 1
-        assert policy.srtt < 0.2
-
-    def test_karn_lost_first_reply_never_sampled(self):
-        """Round 0's reply is dropped: the transfer completes via
-        retransmission rounds, none of which are Karn-clean."""
-        policy = AdaptiveTimeout(initial_s=0.1)
-        plan = _plan(
-            FaultRule(action="drop", kinds=("reply",), direction="recv",
-                      indices=(0,))
-        )
-        with BlastReceiver() as receiver, BlastSender(
-            fault_plan=plan, fault_seed=1
-        ) as sender:
-            sent, received = run_pair(
-                receiver, {"nak": True, "linger_s": 0.5},
-                lambda: sender.send(DATA, receiver.address,
-                                    strategy="full_nak",
-                                    timeout_policy=policy,
-                                    timeout_s=0.1, max_rounds=60),
-            )
-        assert sent.ok and received.data == DATA
-        assert policy.expirations >= 1
-        assert policy.samples == 0  # no round was unambiguous
-        assert policy.current() >= 0.1  # backoff never undone by a sample
+        assert policy.samples == sent.n_packets  # one per exchange
+        assert policy.srtt < 0.05
 
 
 class TestSlidingWindowAdaptiveTimeout:
-    def test_clean_run_samples_first_round(self):
-        policy = AdaptiveTimeout(initial_s=1.0)
-        with PerPacketAckReceiver() as receiver, SlidingWindowSender() as sender:
-            sent, received = run_pair(
-                receiver, {},
-                lambda: sender.send(DATA, receiver.address,
-                                    timeout_policy=policy),
-            )
+    def test_clean_run_samples_first_round(self, adaptive):
+        policy = adaptive(1.0)
+        sent, received = run_pair("sliding")
         assert sent.ok and received.data == DATA
-        assert policy.samples == 1
+        # Every packet of the never-closing window is a first
+        # transmission, so every ack is a clean sample.
+        assert policy.samples == sent.n_packets
         assert policy.expirations == 0
 
-    def test_lossy_first_round_not_sampled(self):
-        policy = AdaptiveTimeout(initial_s=0.05)
-        plan = _plan(
+    def test_lossy_first_round_not_sampled(self, adaptive):
+        policy = adaptive(0.05)
+        sent, received = run_pair("sliding", _plan(
             FaultRule(action="drop", kinds=("data",), indices=(1,))
-        )
-        with PerPacketAckReceiver() as receiver, SlidingWindowSender(
-            fault_plan=plan, fault_seed=1
-        ) as sender:
-            sent, received = run_pair(
-                receiver, {},
-                lambda: sender.send(DATA, receiver.address,
-                                    timeout_policy=policy, max_rounds=60),
-            )
+        ))
         assert sent.ok and received.data == DATA
         assert sent.retransmissions >= 1
-        assert policy.samples == 0  # round 0 was dirtied by the loss
-
-    def test_karn_progress_round_does_not_back_off(self):
-        """Regression (Karn gap): a round that expired *after delivering
-        fresh acks* is making progress, not signalling congestion — the
-        sliding driver used to back the adaptive timer off anyway, so a
-        single lost data frame doubled the timeout for the rest of the
-        transfer."""
-        policy = AdaptiveTimeout(initial_s=0.05)
-        plan = _plan(
-            FaultRule(action="drop", kinds=("data",), indices=(1,))
-        )
-        with PerPacketAckReceiver() as receiver, SlidingWindowSender(
-            fault_plan=plan, fault_seed=1
-        ) as sender:
-            sent, received = run_pair(
-                receiver, {},
-                lambda: sender.send(DATA, receiver.address,
-                                    timeout_policy=policy, max_rounds=60),
-            )
-        assert sent.ok and received.data == DATA
-        assert sent.timeouts >= 1       # the round still counts as a retry
-        assert policy.expirations == 0  # ...but the timer never backs off
-
-    def test_karn_silent_round_still_backs_off(self):
-        """Companion: a round with no acks at all is genuine silence,
-        so the exponential backoff must still fire."""
-        policy = AdaptiveTimeout(initial_s=0.05)
-        plan = _plan(
-            FaultRule(action="drop", kinds=("ack",), direction="recv",
-                      first=0, last=3)  # every round-0 ack (4 packets)
-        )
-        with PerPacketAckReceiver() as receiver, SlidingWindowSender(
-            fault_plan=plan, fault_seed=1
-        ) as sender:
-            sent, received = run_pair(
-                receiver, {},
-                lambda: sender.send(DATA, receiver.address,
-                                    timeout_policy=policy, max_rounds=60),
-            )
-        assert sent.ok and received.data == DATA
-        assert policy.expirations >= 1
+        assert policy.expirations >= 1  # the lost packet's timer expired
+        # The lost packet's retried exchange is the one never sampled.
+        assert policy.samples == sent.n_packets - 1
